@@ -1749,10 +1749,13 @@ impl ServeEngine {
 
     /// Runs every non-shed member of a batch on one executor, retrying
     /// through transient tile faults (bounded at [`MAX_TILE_RETRIES`] per
-    /// member — a one-shot transient needs exactly one). Members carrying
-    /// a sequence id run one decode step via [`lm_step`] instead of a
-    /// CNN forward; reading `self.sequences` here is safe because a
-    /// sequence has at most one step in flight per pass.
+    /// member — a one-shot transient needs exactly one). CNN members run
+    /// through one [`oxbar_sim::BatchScope`] that lives as long as the
+    /// batch, so each of the model's tiles is programmed at most once per
+    /// batch even when the chip budget cannot keep it. Members carrying a
+    /// sequence id run one decode step via [`lm_step`] instead of a CNN
+    /// forward; reading `self.sequences` here is safe because a sequence
+    /// has at most one step in flight per pass.
     fn execute_on(
         &self,
         batch: &Batch,
@@ -1767,6 +1770,7 @@ impl ServeEngine {
             .copied()
             .filter(|s| !shed.contains(s))
             .collect();
+        let scope = executor.batch_scope();
         let mut out = Vec::with_capacity(survivors.len());
         for &slot in &survivors {
             let q = &queue[slot];
@@ -1814,7 +1818,7 @@ impl ServeEngine {
             }
             let mut attempts = 0usize;
             let forward = loop {
-                match executor.try_forward(&spec.network, &q.request.input, &spec.filters) {
+                match scope.try_forward(&spec.network, &q.request.input, &spec.filters) {
                     Ok(forward) => break forward,
                     Err(ExecError::TileFault { .. }) if attempts < MAX_TILE_RETRIES => {
                         attempts += 1;

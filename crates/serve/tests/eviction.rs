@@ -140,3 +140,92 @@ fn batching_amortizes_reprogramming_under_a_tight_budget() {
         "batching must cut reprogramming ≥3×: {batched_misses} vs {thrash_misses}"
     );
 }
+
+#[test]
+fn batch_programs_each_out_of_budget_tile_once() {
+    // A budget holding only half of the dense head: the tiles that do
+    // not fit are never resident, yet a batch programs each of them once
+    // and streams every member through it (weight-stationary batch
+    // dataflow), where single dispatch reprograms them per request.
+    let device = SimConfig::noisy(64, 64).with_threads(1);
+    let big = catalog::alexnet_fc_sample();
+    let small = catalog::mobilenet_sample();
+    let probe = oxbar_sim::DeviceExecutor::new(device.clone());
+    let footprint = probe.model_footprint_cells(&big.network);
+    let tiles: u64 = probe
+        .forward(
+            &big.network,
+            &synthetic::activations(big.network.input(), 6, 0),
+            &big.filters,
+        )
+        .unwrap()
+        .layers
+        .iter()
+        .filter_map(|l| l.stats.as_ref())
+        .map(|s| s.tiles as u64)
+        .sum();
+    let budget = footprint / 2;
+    assert!(probe.model_footprint_cells(&small.network) < budget);
+
+    let run = |policy: BatchPolicy, workers: usize| {
+        let mut engine = ServeEngine::new(
+            ServeConfig::new(device.clone())
+                .with_cache_budget(budget)
+                .with_policy(policy)
+                .with_workers(workers),
+        );
+        let a = engine.admit(big.clone()).unwrap();
+        let b = engine.admit(small.clone()).unwrap();
+        // The dense head's batches, then one batch of the small model
+        // whose arrival pushes the chip over budget: one eviction under
+        // every worker count.
+        for i in 0..16u64 {
+            let model = if i < 12 { a } else { b };
+            let input = synthetic::activations(engine.input_shape(model), 6, i);
+            engine.submit_simple(model, input);
+        }
+        let mut done = engine.drain();
+        done.sort_by_key(|c| c.id);
+        let big_batches = {
+            let mut seqs: Vec<usize> = done
+                .iter()
+                .filter(|c| c.model == a)
+                .map(|c| c.batch_seq)
+                .collect();
+            seqs.dedup();
+            seqs.len() as u64
+        };
+        let outputs: Vec<Vec<i64>> = done.iter().map(|c| c.output.data().to_vec()).collect();
+        (outputs, engine.stats(), a, big_batches)
+    };
+
+    let (single_out, single, a, single_batches) = run(BatchPolicy::SINGLE, 1);
+    let (batched_out, batched, _, big_batches) = run(BatchPolicy::new(4, 64), 1);
+    assert_eq!(
+        batched_out, single_out,
+        "batching must never change results"
+    );
+    assert!(big_batches < single_batches);
+    let misses = batched.models[a.0].cache.misses;
+    assert!(
+        misses <= big_batches * tiles,
+        "each tile programmed at most once per batch: {misses} misses, \
+         {big_batches} batches × {tiles} tiles"
+    );
+    assert!(misses < single.models[a.0].cache.misses);
+    assert_eq!(batched.evictions, 1, "the small model's arrival evicts");
+
+    let counters = |stats: &oxbar_serve::EngineStats| {
+        let models: Vec<(u64, u64)> = stats
+            .models
+            .iter()
+            .map(|m| (m.cache.hits, m.cache.misses))
+            .collect();
+        (models, stats.evictions)
+    };
+    for workers in [2, 4] {
+        let (out, stats, _, _) = run(BatchPolicy::new(4, 64), workers);
+        assert_eq!(out, batched_out, "workers={workers}");
+        assert_eq!(counters(&stats), counters(&batched), "workers={workers}");
+    }
+}

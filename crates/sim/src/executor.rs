@@ -255,6 +255,116 @@ struct TileAge {
     derived_age: u64,
 }
 
+/// A batch-local tile scope: the weight-stationary batch dataflow for
+/// tiles the chip's cell budget cannot keep.
+///
+/// Created by [`DeviceExecutor::batch_scope`] and owned by whoever runs
+/// one batch (the serving engine holds one per batch). Every member
+/// forward pass run through the scope shares it: a tile the budget
+/// refuses to keep resident is parked here instead of being dropped, so
+/// the batch's next member finds it (a cache hit, validated against the
+/// exact weights like any other) instead of reprogramming it. Each of a
+/// model's tiles is therefore programmed at most once per batch, whether
+/// or not it fits the chip.
+///
+/// The scope adds **no capacity** to the chip. Its tiles never count
+/// toward the cache's `cells` or occupancy, budget enforcement never sees
+/// them, they are never snapshotted, migrated, or aged, and they are
+/// dropped with the scope when the batch ends — the next batch programs
+/// them again. Because a scope belongs to exactly one batch and is never
+/// shared executor state, it makes the hit/miss counters depend on
+/// nothing but the batches the executor runs — not on thread timing.
+///
+/// # Examples
+///
+/// ```
+/// use oxbar_nn::synthetic;
+/// use oxbar_nn::zoo::lenet5;
+/// use oxbar_sim::{DeviceExecutor, SimConfig};
+///
+/// let net = lenet5();
+/// let filters = synthetic::filter_banks(&net, 6, 2);
+/// // A budget far below LeNet-5's footprint: nothing stays resident.
+/// let exec = DeviceExecutor::new(SimConfig::ideal(128, 128)).with_cache_budget(0);
+/// let batch = exec.batch_scope();
+/// for seed in 0..3 {
+///     let input = synthetic::activations(net.input(), 6, seed);
+///     batch.forward(&net, &input, &filters).unwrap();
+/// }
+/// let stats = exec.cache_stats();
+/// // Every tile programmed once for the whole batch, then reused.
+/// assert_eq!(stats.hits, 2 * stats.misses);
+/// assert_eq!(stats.cells, 0, "the scope holds nothing against the budget");
+/// ```
+#[derive(Debug)]
+pub struct BatchScope<'a> {
+    executor: &'a DeviceExecutor,
+    /// Out-of-budget compiled tiles, keyed by `(layer index, tile index)`
+    /// (the scoped path runs on wavelength channel 0 only).
+    tiles: Mutex<HashMap<(usize, usize), Arc<CompiledTile>>>,
+}
+
+impl BatchScope<'_> {
+    /// [`DeviceExecutor::forward`] for one member of the batch.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeviceExecutor::forward`].
+    ///
+    /// # Panics
+    ///
+    /// As [`DeviceExecutor::forward`].
+    pub fn forward(
+        &self,
+        network: &Network,
+        input: &Tensor3,
+        filters: &[FilterBank],
+    ) -> Result<DeviceForward, UnsupportedLayer> {
+        self.executor
+            .forward_in(network, input, filters, Some(self))
+    }
+
+    /// [`DeviceExecutor::try_forward`] for one member of the batch.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeviceExecutor::try_forward`].
+    ///
+    /// # Panics
+    ///
+    /// As [`DeviceExecutor::try_forward`].
+    pub fn try_forward(
+        &self,
+        network: &Network,
+        input: &Tensor3,
+        filters: &[FilterBank],
+    ) -> Result<DeviceForward, ExecError> {
+        self.executor.fault_gate()?;
+        self.forward(network, input, filters)
+            .map_err(ExecError::Unsupported)
+    }
+
+    /// The parked tile for `key`, if it holds exactly this bank's weights.
+    fn lookup(
+        &self,
+        key: (usize, usize),
+        tiles: &WeightTiles<'_>,
+        geom: &TileGeometry,
+    ) -> Option<Arc<CompiledTile>> {
+        self.tiles
+            .lock()
+            .expect("batch scope")
+            .get(&key)
+            .filter(|tile| tile.matches_bank(tiles, geom))
+            .map(Arc::clone)
+    }
+
+    /// Parks a compiled tile the cell budget refused to keep.
+    fn keep(&self, key: (usize, usize), tile: Arc<CompiledTile>) {
+        self.tiles.lock().expect("batch scope").insert(key, tile);
+    }
+}
+
 impl Clone for DeviceExecutor {
     /// Clones the configuration; the clone starts with an empty tile
     /// cache (entries are re-derived on demand, identically).
@@ -358,6 +468,17 @@ impl DeviceExecutor {
             .map_err(ExecError::Unsupported)
     }
 
+    /// Opens a [`BatchScope`] on this executor: run every member of one
+    /// batch through it so each tile is programmed at most once for the
+    /// whole batch, including tiles the cell budget cannot keep.
+    #[must_use]
+    pub fn batch_scope(&self) -> BatchScope<'_> {
+        BatchScope {
+            executor: self,
+            tiles: Mutex::new(HashMap::new()),
+        }
+    }
+
     /// The injected-fault gate every fallible execution entry point runs
     /// through: a killed chip refuses with [`ExecError::ChipFailed`], and
     /// an armed one-shot transient is consumed and surfaced as
@@ -398,17 +519,22 @@ impl DeviceExecutor {
         self.arenas.lock().expect("arena pool").extend(arenas);
     }
 
-    /// The compiled state for one tile: a validated cache hit (a straight
-    /// slice compare against the filter bank, no tile materialization),
-    /// or a fresh compile (inserted while the cell budget allows).
+    /// The compiled state for one tile: a validated hit (a straight slice
+    /// compare against the filter bank, no tile materialization) on the
+    /// batch scope or the resident cache, or a fresh compile. A fresh
+    /// compile is kept resident while the cell budget allows; otherwise
+    /// it is parked in the batch scope, if there is one, so the batch's
+    /// later members hit it instead of reprogramming (without a scope —
+    /// a standalone forward — it is dropped after use).
     ///
     /// Compiles are **single-flight**: when several workers execute the
     /// same network concurrently and miss on the same tile, exactly one
     /// programs it while the rest block on [`Self::compile_done`] and
     /// then hit — so the hit/miss counters are a deterministic function
     /// of the workload, not of thread timing, and no compile ever runs
-    /// twice. (A zero-budget cache cannot retain the compiled entry; its
-    /// waiters re-miss by design, matching the serial cold path.)
+    /// twice. (A tile the budget cannot keep is never resident; waiters
+    /// from *another* batch re-miss by design, matching the serial path
+    /// where each batch programs it once.)
     fn compiled_tile(
         &self,
         layer_index: usize,
@@ -416,7 +542,12 @@ impl DeviceExecutor {
         tiles: &WeightTiles<'_>,
         geom: &TileGeometry,
         seed: u64,
+        scope: Option<&BatchScope<'_>>,
     ) -> Arc<CompiledTile> {
+        if let Some(hit) = scope.and_then(|s| s.lookup((layer_index, tile_index), tiles, geom)) {
+            self.cache.lock().expect("tile cache").hits += 1;
+            return hit;
+        }
         let key = (layer_index, tile_index, 0);
         let aging = self.aging_active();
         let clock = self.clock.load(Ordering::Relaxed);
@@ -496,14 +627,19 @@ impl DeviceExecutor {
                     },
                 );
             }
+        } else if let Some(scope) = scope {
+            scope.keep((layer_index, tile_index), Arc::clone(&compiled));
         }
         self.compile_done.notify_all();
         compiled
     }
 
     /// Overrides the weight-stationary cache's cell budget (the default is
-    /// 4M cells). A budget of 0 disables caching entirely: every execution
-    /// reprograms and recompiles, which is the "cold" serving baseline.
+    /// 4M cells). A budget of 0 disables caching entirely: every
+    /// standalone execution reprograms and recompiles, which is the
+    /// "cold" serving baseline. Members of one [`BatchScope`] still share
+    /// each compile across the batch — the scope holds tiles only until
+    /// the batch ends and adds no capacity to the chip.
     #[must_use]
     pub fn with_cache_budget(mut self, cells: usize) -> Self {
         self.cache_budget = cells;
@@ -886,6 +1022,18 @@ impl DeviceExecutor {
         input: &Tensor3,
         filters: &[FilterBank],
     ) -> Result<DeviceForward, UnsupportedLayer> {
+        self.forward_in(network, input, filters, None)
+    }
+
+    /// [`Self::forward`], parking out-of-budget tiles in `scope` when one
+    /// is given (see [`BatchScope`]).
+    fn forward_in(
+        &self,
+        network: &Network,
+        input: &Tensor3,
+        filters: &[FilterBank],
+        scope: Option<&BatchScope<'_>>,
+    ) -> Result<DeviceForward, UnsupportedLayer> {
         let mut stats: Vec<LayerStats> = Vec::new();
         let walked = walk_network(
             network,
@@ -901,12 +1049,13 @@ impl DeviceExecutor {
                 let pixel_ids: Vec<usize> = (0..out.h * out.w).collect();
                 // With every pixel present in order, the flat slot-major
                 // values ARE the output tensor's data.
-                let (values, layer_stats) = self.conv_pixels_flat(
+                let (values, layer_stats) = self.conv_pixels_in(
                     conv,
                     conv_input,
                     &filters[conv_idx],
                     layer_idx,
                     &pixel_ids,
+                    scope,
                 );
                 stats.push(layer_stats);
                 Tensor3::new(out, values)
@@ -975,6 +1124,19 @@ impl DeviceExecutor {
         layer_index: usize,
         pixel_ids: &[usize],
     ) -> (Vec<i64>, LayerStats) {
+        self.conv_pixels_in(conv, input, bank, layer_index, pixel_ids, None)
+    }
+
+    /// [`Self::conv_pixels_flat`] under an optional [`BatchScope`].
+    fn conv_pixels_in(
+        &self,
+        conv: &Conv2d,
+        input: &Tensor3,
+        bank: &FilterBank,
+        layer_index: usize,
+        pixel_ids: &[usize],
+        scope: Option<&BatchScope<'_>>,
+    ) -> (Vec<i64>, LayerStats) {
         assert_eq!(input.shape(), conv.input, "input shape mismatch");
         bank.check(conv);
         assert!(
@@ -1031,7 +1193,7 @@ impl DeviceExecutor {
                     }
                     MvmEngine::Compiled | MvmEngine::CompiledNoCache => {
                         let compiled =
-                            self.compiled_tile(layer_index, tile_index, &tiles, geom, seed);
+                            self.compiled_tile(layer_index, tile_index, &tiles, geom, seed, scope);
                         compiled.execute_into(
                             &drive,
                             &self.config,
@@ -1682,6 +1844,49 @@ mod tests {
         assert_eq!(stats.hits, 0, "budget 0 admits nothing");
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.misses, 2 * cached.cache_stats().misses);
+    }
+
+    #[test]
+    fn batch_scope_programs_each_out_of_budget_tile_once() {
+        let net = lenet5();
+        let filters = synthetic::filter_banks(&net, 6, 4);
+        let inputs: Vec<Tensor3> = (0..4)
+            .map(|seed| synthetic::activations(net.input(), 6, 10 + seed))
+            .collect();
+        let config = SimConfig::noisy(64, 64).with_threads(1);
+        let footprint = DeviceExecutor::new(config.clone()).model_footprint_cells(&net);
+        // Half the footprint: some tiles stay resident, the rest cannot.
+        let budget = footprint / 2;
+        let separate = DeviceExecutor::new(config.clone()).with_cache_budget(budget);
+        let expected: Vec<DeviceForward> = inputs
+            .iter()
+            .map(|input| separate.forward(&net, input, &filters).unwrap())
+            .collect();
+        let tile_count: usize = expected[0]
+            .layers
+            .iter()
+            .filter_map(|l| l.stats.as_ref())
+            .map(|s| s.tiles)
+            .sum();
+
+        let exec = DeviceExecutor::new(config).with_cache_budget(budget);
+        let batch = exec.batch_scope();
+        let outputs: Vec<DeviceForward> = inputs
+            .iter()
+            .map(|input| batch.forward(&net, input, &filters).unwrap())
+            .collect();
+        assert_eq!(outputs, expected, "the scope must never change results");
+        let stats = exec.cache_stats();
+        assert_eq!(stats.misses, tile_count as u64, "each tile programmed once");
+        assert_eq!(stats.hits, 3 * tile_count as u64);
+        // Bare forwards keep recompiling whatever does not fit.
+        assert!(separate.cache_stats().misses > stats.misses);
+        // The scope holds nothing against the chip: occupancy is exactly
+        // what the same budget keeps without it.
+        assert!(stats.cells <= budget);
+        assert_eq!(stats.cells, separate.cache_stats().cells);
+        assert_eq!(stats.entries, separate.cache_stats().entries);
+        assert_eq!(exec.snapshot().tiles.len(), stats.entries);
     }
 
     /// A small noisy config with aggressive aging: each dispatch tick

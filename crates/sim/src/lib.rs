@@ -79,7 +79,8 @@ pub mod tile;
 pub use arena::ExecArena;
 pub use config::{NoiseModel, Readout, SimConfig};
 pub use executor::{
-    CacheStats, DeviceExecutor, DeviceForward, LayerExecution, LayerStats, TileDriftInfo,
+    BatchScope, CacheStats, DeviceExecutor, DeviceForward, LayerExecution, LayerStats,
+    TileDriftInfo,
 };
 pub use fault::{ExecError, FaultEvent, FaultPlan, InjectedFault};
 pub use fidelity::{device_forward, run_inference, InferenceFidelity, LayerFidelity};
