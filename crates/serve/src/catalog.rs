@@ -12,7 +12,7 @@
 //! pointwise pair (MobileNet). Their summed tile footprint is what the
 //! global cache budget is measured against.
 
-use crate::registry::ModelSpec;
+use crate::cluster::ModelSpec;
 use oxbar_nn::synthetic;
 use oxbar_nn::transformer::{LmConfig, LmWeights};
 use oxbar_nn::{Activation, Conv2d, Dense, Layer, Network, TensorShape};

@@ -10,26 +10,130 @@
 //!   cells each chip's placed models would occupy fully resident), so the
 //!   same admission sequence always produces the same layout;
 //! - **budgets** — each [`ChipRegistry`] enforces its own cell budget
-//!   with the same LRU whole-model eviction the single-chip registry
-//!   used;
+//!   by LRU whole-model eviction;
 //! - **migration** — before evicting, an over-budget chip offers its LRU
 //!   victim to any sibling chip with room; the model moves via
 //!   [`oxbar_sim::DeviceExecutor::snapshot`] / `restore`, which rebuilds
 //!   its programmed tile state bit-exactly, so migration changes *where*
 //!   a model serves from, never *what* it answers.
 //!
-//! A 1-chip cluster is byte-identical to the pre-cluster
-//! [`crate::registry::ModelRegistry`] — same outputs, same eviction
-//! sequence — which is how the single-chip serving suites stay green
-//! unchanged (`tests/cluster_equivalence.rs` pins it).
+//! A 1-chip cluster ([`Cluster::single`]) is the single-chip serving
+//! engine: one budget, LRU whole-model eviction and no sibling to migrate
+//! to. `tests/cluster_equivalence.rs` pins that a multi-chip cluster
+//! answers byte-identically to it.
+//!
+//! Admission takes a [`ModelSpec`] and refuses with an [`AdmitError`];
+//! [`Cluster::cache_stats`] reports one [`ModelCacheStats`] per model.
 
-use crate::registry::{AdmitError, ModelCacheStats, ModelSpec};
 use crate::request::ModelId;
-use oxbar_nn::{Layer, TensorShape};
-use oxbar_sim::{DeviceExecutor, InjectedFault, SimConfig};
+use oxbar_nn::reference::FilterBank;
+use oxbar_nn::{Layer, Network, TensorShape};
+use oxbar_sim::{CacheStats, DeviceExecutor, InjectedFault, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
+
+/// A deployable model: the network graph plus its quantized filter banks
+/// (one per conv-like layer, in [`Network::conv_like_layers`] order).
+#[derive(Debug, Clone)]
+pub struct ModelSpec {
+    /// Human-readable model name (unique within a cluster by convention,
+    /// not enforcement).
+    pub name: String,
+    /// The sequential network graph.
+    pub network: Network,
+    /// Signed INT-quantized filter banks covering every conv-like layer.
+    pub filters: Vec<FilterBank>,
+    /// For an autoregressive language model, the full transformer weights
+    /// (embeddings and block structure). When set, `network`/`filters`
+    /// must be this model's dense stack
+    /// ([`oxbar_nn::transformer::LmWeights::network`] /
+    /// [`oxbar_nn::transformer::LmWeights::filters`]) so the static
+    /// projections serve through the same weight-stationary cache as any
+    /// CNN; `None` marks an ordinary feed-forward model.
+    pub lm: Option<oxbar_nn::transformer::LmWeights>,
+}
+
+/// Why a [`ModelSpec`] was refused admission.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AdmitError {
+    /// The network contains a residual `Add` layer; the sequential
+    /// device pipeline cannot execute it.
+    Residual(String),
+    /// The filter banks do not cover every conv-like layer.
+    FilterCount {
+        /// Conv-like layers in the network.
+        expected: usize,
+        /// Filter banks provided.
+        got: usize,
+    },
+    /// Strict placement found too few chips with committed room for the
+    /// model — replicated policies need `replicas` *distinct* chips, each
+    /// with room for a full copy (see [`Cluster::admit_strict`]).
+    Capacity {
+        /// The model's full weight-stationary footprint, in cells
+        /// (per chip copy).
+        footprint_cells: usize,
+        /// Distinct chip copies the placement policy demands (1 for
+        /// unreplicated policies).
+        replicas: usize,
+        /// Every candidate chip's cell budget, in chip-index order.
+        chip_budgets: Vec<usize>,
+        /// Every chip's already-committed cells, in chip-index order.
+        committed_cells: Vec<usize>,
+    },
+}
+
+impl fmt::Display for AdmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Residual(layer) => {
+                write!(f, "residual layer `{layer}` is not servable")
+            }
+            Self::FilterCount { expected, got } => {
+                write!(f, "expected {expected} filter banks, got {got}")
+            }
+            Self::Capacity {
+                footprint_cells,
+                replicas,
+                chip_budgets,
+                committed_cells,
+            } => {
+                if *replicas > 1 {
+                    write!(
+                        f,
+                        "fewer than {replicas} chips can commit {footprint_cells} cells each: \
+                         candidates"
+                    )?;
+                } else {
+                    write!(f, "no chip can commit {footprint_cells} cells: candidates")?;
+                }
+                for (c, (budget, committed)) in chip_budgets.iter().zip(committed_cells).enumerate()
+                {
+                    write!(
+                        f,
+                        " chip{c}={}/{budget} cells free",
+                        budget.saturating_sub(*committed)
+                    )?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl std::error::Error for AdmitError {}
+
+/// Cache statistics of one admitted model, for serving reports.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ModelCacheStats {
+    /// Model name.
+    pub name: String,
+    /// The chip the model is placed on (always 0 on a single chip).
+    pub chip: usize,
+    /// The model's tile-cache counters and occupancy.
+    pub cache: CacheStats,
+}
 
 /// Handle to one chip of a [`Cluster`], in chip-index order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -262,8 +366,8 @@ impl ModelEntry {
 /// Admission pins each model to one chip (see [`PlacementPolicy`]) and
 /// seeds its executor from `(base seed, admission index)` — the *global*
 /// admission index, not a per-chip one, so a model's device noise is
-/// independent of the cluster layout and a 1-chip cluster reproduces the
-/// single-registry engine byte for byte.
+/// independent of the cluster layout: a multi-chip cluster answers byte
+/// for byte like a 1-chip one ([`Cluster::single`]).
 pub struct Cluster {
     base: SimConfig,
     placement: PlacementPolicy,
@@ -302,8 +406,9 @@ impl Cluster {
         }
     }
 
-    /// A single-chip cluster — the configuration that reproduces the
-    /// pre-cluster [`crate::registry::ModelRegistry`] exactly.
+    /// A single-chip cluster: every model shares one `budget` of crossbar
+    /// cells, enforced by LRU whole-model eviction (there is no sibling
+    /// chip to migrate to).
     #[must_use]
     pub fn single(base: SimConfig, budget: usize) -> Self {
         Self::new(base, &[budget], PlacementPolicy::FirstFit)
@@ -375,7 +480,7 @@ impl Cluster {
     /// Placement is permissive: when no chip's committed footprint leaves
     /// room, the model still lands on the least-committed chip (lowest
     /// index on ties) and the chip's LRU eviction absorbs the pressure —
-    /// matching the single-registry behavior where over-budget admission
+    /// matching the single-chip behavior where over-budget admission
     /// thrashes rather than fails. Use [`Self::admit_strict`] to refuse
     /// instead.
     ///
@@ -599,8 +704,7 @@ impl Cluster {
     /// potato that lands on another over-budget chip is evicted there
     /// rather than bounced again, so the pass terminates with *every*
     /// chip within budget. On a 1-chip cluster there is never a migration
-    /// target, so the eviction sequence is exactly the single-registry
-    /// one. Failed chips are skipped entirely: they serve nothing, and
+    /// target, so every over-budget pass evicts. Failed chips are skipped entirely: they serve nothing, and
     /// their non-volatile state is left intact for recovery.
     pub fn enforce_budget(&mut self) -> usize {
         let mut evicted = 0;
@@ -981,7 +1085,7 @@ impl fmt::Debug for Cluster {
 mod tests {
     use super::*;
     use oxbar_nn::synthetic;
-    use oxbar_nn::zoo::lenet5;
+    use oxbar_nn::zoo::{lenet5, resnet18};
 
     fn lenet_spec(seed: u64) -> ModelSpec {
         let network = lenet5();
@@ -1254,14 +1358,77 @@ mod tests {
         make_resident(&mut cluster, b);
         assert!(cluster.occupancy() > cluster.budget());
         let evicted = cluster.enforce_budget();
-        assert_eq!(
-            evicted, 1,
-            "no sibling: eviction, exactly like the registry"
-        );
+        assert_eq!(evicted, 1, "no sibling chip: the LRU model is evicted");
+        assert_eq!(cluster.evictions(), 1);
+        assert!(cluster.occupancy() <= cluster.budget());
         assert_eq!(cluster.migrations(), 0);
         let stats = cluster.cache_stats();
         assert_eq!(stats[a.0].cache.cells, 0, "model A was least recently used");
         assert!(stats[b.0].cache.cells > 0, "model B survives");
         assert_eq!(stats[a.0].chip, 0);
+    }
+
+    #[test]
+    fn admission_assigns_sequential_ids_and_distinct_seeds() {
+        let mut cluster = Cluster::single(SimConfig::ideal(64, 64), 1_000_000);
+        let a = cluster.admit(lenet_spec(1)).unwrap();
+        let b = cluster.admit(lenet_spec(2)).unwrap();
+        assert_eq!((a, b), (ModelId(0), ModelId(1)));
+        assert_ne!(
+            cluster.executor(a).config().seed,
+            cluster.executor(b).config().seed,
+            "each model draws its own programming-noise stream"
+        );
+    }
+
+    #[test]
+    fn residual_and_underfiltered_models_are_refused() {
+        let mut cluster = Cluster::single(SimConfig::ideal(64, 64), 1_000_000);
+        let residual = ModelSpec {
+            name: "resnet18".into(),
+            filters: synthetic::filter_banks(&resnet18(), 6, 3),
+            network: resnet18(),
+            lm: None,
+        };
+        assert!(matches!(
+            cluster.admit(residual),
+            Err(AdmitError::Residual(_))
+        ));
+        let mut short = lenet_spec(4);
+        short.filters.pop();
+        assert!(matches!(
+            cluster.admit(short),
+            Err(AdmitError::FilterCount {
+                expected: 5,
+                got: 4
+            })
+        ));
+    }
+
+    #[test]
+    fn capacity_error_displays_footprint_and_candidates() {
+        let err = AdmitError::Capacity {
+            footprint_cells: 61_000,
+            replicas: 1,
+            chip_budgets: vec![50_000, 40_000],
+            committed_cells: vec![10_000, 0],
+        };
+        let shown = err.to_string();
+        assert!(shown.contains("61000"), "footprint: {shown}");
+        assert!(shown.contains("chip0=40000/50000"), "candidates: {shown}");
+        assert!(shown.contains("chip1=40000/40000"), "candidates: {shown}");
+    }
+
+    #[test]
+    fn capacity_error_names_the_replica_demand() {
+        let err = AdmitError::Capacity {
+            footprint_cells: 61_000,
+            replicas: 2,
+            chip_budgets: vec![100_000, 50_000],
+            committed_cells: vec![0, 40_000],
+        };
+        let shown = err.to_string();
+        assert!(shown.contains("fewer than 2 chips"), "replicas: {shown}");
+        assert!(shown.contains("chip1=10000/50000"), "candidates: {shown}");
     }
 }

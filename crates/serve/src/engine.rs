@@ -2,8 +2,9 @@
 //! deterministic parallel scheduler over a cluster of chips.
 
 use crate::batcher::{form_batches, route_rounds, Batch, BatchPolicy};
-use crate::cluster::{ChipHealth, ChipId, ChipStats, Cluster, PlacementPolicy};
-use crate::registry::{AdmitError, ModelCacheStats, ModelSpec};
+use crate::cluster::{
+    AdmitError, ChipHealth, ChipId, ChipStats, Cluster, ModelCacheStats, ModelSpec, PlacementPolicy,
+};
 use crate::request::{Completion, InferRequest, ModelId, RequestId, SequenceId, TokenCompletion};
 use oxbar_core::dse::parallel_map;
 use oxbar_nn::reference::Tensor3;
@@ -17,6 +18,19 @@ use std::fmt;
 /// How many times one request's execute retries through transient tile
 /// faults before the batch escalates to failover.
 const MAX_TILE_RETRIES: usize = 3;
+
+/// Runs `attempt` until it succeeds, retrying in place through transient
+/// tile faults at most [`MAX_TILE_RETRIES`] times. Any other error, or a
+/// transient past the bound, propagates.
+fn retry_transient<T>(mut attempt: impl FnMut() -> Result<T, ExecError>) -> Result<T, ExecError> {
+    let mut retries = 0;
+    loop {
+        match attempt() {
+            Err(ExecError::TileFault { .. }) if retries < MAX_TILE_RETRIES => retries += 1,
+            result => return result,
+        }
+    }
+}
 
 /// Hard per-sequence cap on decode steps, so a hostile `Generate` cannot
 /// pin the engine in an unbounded token loop.
@@ -462,13 +476,6 @@ enum FateChip {
     Shed,
 }
 
-/// The fault plan's verdict for one batch.
-///
-/// Fates are computed in global dispatch-sequence order before any round
-/// runs, from the fault plan alone — so which chip serves a batch, which
-/// members are shed, and where recoveries happen are pure functions of
-/// the trace and the plan, identical for every worker count.
-#[derive(Debug, Clone)]
 /// One drain's planned recalibration work for one chip: the tiles whose
 /// programming age the drain boundary already reset, still awaiting
 /// their eager reprogram in a stage slot.
@@ -480,6 +487,12 @@ struct RecalPlan {
 /// One round's slice of a chip's recalibration plan: `(chip, tiles)`.
 type RecalChunk = (usize, Vec<(ModelId, usize, usize)>);
 
+/// The fault plan's verdict for one batch.
+///
+/// Fates are computed in global dispatch-sequence order before any round
+/// runs, from the fault plan alone — so which chip serves a batch, which
+/// members are shed, and where recoveries happen are pure functions of
+/// the trace and the plan, identical for every worker count.
 struct BatchFate {
     chip: FateChip,
     /// Queue slots (batch members) shed by the deadline rule, ascending.
@@ -605,7 +618,7 @@ impl ServeEngine {
         &self.config
     }
 
-    /// Admits a model into the registry.
+    /// Admits a model into the cluster.
     ///
     /// # Errors
     ///
@@ -639,8 +652,7 @@ impl ServeEngine {
     }
 
     /// The model cluster (for reports and catalog introspection). On a
-    /// default configuration this is a single-chip cluster, behaviorally
-    /// identical to the pre-cluster registry.
+    /// default configuration this is a single-chip cluster.
     #[must_use]
     pub fn registry(&self) -> &Cluster {
         &self.registry
@@ -1302,15 +1314,15 @@ impl ServeEngine {
         (fates, armed)
     }
 
-    /// Applies the health-marking half of kill/degrade events with
-    /// rounds in `[*cursor, through]`, advancing the cursor. Routing,
-    /// recovery destinations, and stats see the failure from here on.
-    fn apply_fault_marks(&mut self, cursor: &mut u64, through: u64) {
+    /// The fault-plan events with rounds in `[*cursor, through]` on
+    /// chips this cluster has, advancing the cursor past `through` — the
+    /// window walk both halves of fault application share.
+    fn fault_window(&self, cursor: &mut u64, through: u64) -> Vec<FaultEvent> {
         if *cursor > through {
-            return;
+            return Vec::new();
         }
         let chips = self.registry.chip_count();
-        let events: Vec<FaultEvent> = self
+        let events = self
             .config
             .fault_plan
             .events()
@@ -1318,14 +1330,21 @@ impl ServeEngine {
             .filter(|e| e.round() >= *cursor && e.round() <= through && e.chip() < chips)
             .copied()
             .collect();
-        for event in events {
+        *cursor = through + 1;
+        events
+    }
+
+    /// Applies the health-marking half of kill/degrade events with
+    /// rounds in `[*cursor, through]`, advancing the cursor. Routing,
+    /// recovery destinations, and stats see the failure from here on.
+    fn apply_fault_marks(&mut self, cursor: &mut u64, through: u64) {
+        for event in self.fault_window(cursor, through) {
             match event {
                 FaultEvent::ChipKill { chip, .. } => self.registry.mark_chip_failed(ChipId(chip)),
                 FaultEvent::Drift { chip, .. } => self.registry.degrade_chip(ChipId(chip)),
                 FaultEvent::TileTransient { .. } => {}
             }
         }
-        *cursor = through + 1;
     }
 
     /// Applies the executor-killing half of kill events with rounds in
@@ -1334,24 +1353,11 @@ impl ServeEngine {
     /// before the kill has already drained, so no in-flight execute can
     /// be corrupted.
     fn apply_fault_injections(&mut self, cursor: &mut u64, before: u64) {
-        if *cursor > before {
-            return;
-        }
-        let chips = self.registry.chip_count();
-        let events: Vec<FaultEvent> = self
-            .config
-            .fault_plan
-            .events()
-            .iter()
-            .filter(|e| e.round() >= *cursor && e.round() <= before && e.chip() < chips)
-            .copied()
-            .collect();
-        for event in events {
+        for event in self.fault_window(cursor, before) {
             if let FaultEvent::ChipKill { chip, .. } = event {
                 self.registry.inject_chip_failure(ChipId(chip));
             }
         }
-        *cursor = before + 1;
     }
 
     /// Folds a batch's executions into the completion list, advancing
@@ -1564,22 +1570,18 @@ impl ServeEngine {
             if !self.registry.chip_health(ChipId(chip)).serves() {
                 continue;
             }
-            // (age, model, layer, tile) over-budget candidates; channel
-            // states collapse to one entry per tile.
+            // (age, model, layer, tile) over-budget candidates.
             let mut candidates: Vec<(u64, usize, usize, usize)> = Vec::new();
             for model in 0..self.registry.len() {
                 let Some(exec) = self.registry.executor_on(ModelId(model), ChipId(chip)) else {
                     continue;
                 };
-                for info in exec.tile_ages() {
-                    if info.age_ticks > budget
-                        && !candidates
-                            .iter()
-                            .any(|&(_, m, l, t)| m == model && l == info.layer && t == info.tile)
-                    {
-                        candidates.push((info.age_ticks, model, info.layer, info.tile));
-                    }
-                }
+                candidates.extend(
+                    exec.tile_ages()
+                        .into_iter()
+                        .filter(|info| info.age_ticks > budget)
+                        .map(|info| (info.age_ticks, model, info.layer, info.tile)),
+                );
             }
             if candidates.is_empty() {
                 continue;
@@ -1592,7 +1594,7 @@ impl ServeEngine {
             let mut tiles = Vec::with_capacity(candidates.len());
             for &(_, model, layer, tile) in &candidates {
                 if let Some(exec) = self.registry.executor_on(ModelId(model), ChipId(chip)) {
-                    if exec.mark_recalibrated(layer, tile) > 0 {
+                    if exec.mark_recalibrated(layer, tile) {
                         self.recalibrated_tiles += 1;
                         tiles.push((ModelId(model), layer, tile));
                     }
@@ -1777,9 +1779,8 @@ impl ServeEngine {
             if let Some(seq_id) = q.sequence {
                 let sequence = &self.sequences[usize::try_from(seq_id).expect("sequence id")];
                 let weights = spec.lm.as_ref().expect("sequence targets a language model");
-                let mut attempts = 0usize;
-                let step = loop {
-                    match lm_step(
+                let step = retry_transient(|| {
+                    lm_step(
                         executor,
                         &spec.network,
                         &spec.filters,
@@ -1787,14 +1788,8 @@ impl ServeEngine {
                         &sequence.cache,
                         sequence.next_token,
                         sequence.pos,
-                    ) {
-                        Ok(step) => break step,
-                        Err(ExecError::TileFault { .. }) if attempts < MAX_TILE_RETRIES => {
-                            attempts += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
+                    )
+                })?;
                 let completion = Completion {
                     id: q.id,
                     model: batch.model,
@@ -1816,16 +1811,9 @@ impl ServeEngine {
                 });
                 continue;
             }
-            let mut attempts = 0usize;
-            let forward = loop {
-                match scope.try_forward(&spec.network, &q.request.input, &spec.filters) {
-                    Ok(forward) => break forward,
-                    Err(ExecError::TileFault { .. }) if attempts < MAX_TILE_RETRIES => {
-                        attempts += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
+            let forward = retry_transient(|| {
+                scope.try_forward(&spec.network, &q.request.input, &spec.filters)
+            })?;
             out.push(Executed {
                 completion: Completion {
                     id: q.id,

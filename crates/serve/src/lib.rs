@@ -20,7 +20,7 @@
 //!    │                    │
 //! cluster        model→chip placement, per-chip cell budgets (LRU model
 //!    │           eviction; snapshot migration before evicting); a 1-chip
-//!    │           cluster IS the classic single-registry engine
+//!    │           cluster is the single-chip engine
 //!    │                    │
 //! oxbar-sim      device-level forward per request (PCM → photonics → ADC)
 //!    └──────────▶ Completion { output, batch_seq, batch_size }
@@ -80,13 +80,15 @@ pub mod cluster;
 pub mod engine;
 pub mod loadgen;
 pub mod protocol;
-pub mod registry;
 pub mod request;
 pub mod server;
 mod session;
 
 pub use batcher::{form_batches, route_rounds, Batch, BatchPolicy};
-pub use cluster::{ChipHealth, ChipId, ChipRegistry, ChipStats, Cluster, PlacementPolicy};
+pub use cluster::{
+    AdmitError, ChipHealth, ChipId, ChipRegistry, ChipStats, Cluster, ModelCacheStats, ModelSpec,
+    PlacementPolicy,
+};
 pub use engine::{
     DrainTrace, EngineStats, ServeConfig, ServeEngine, ShedNotice, SubmitError, MAX_SEQUENCE_STEPS,
 };
@@ -95,7 +97,6 @@ pub use protocol::{
     Client, ClientError, ClientFrame, DeadlineStream, ErrorCode, FrameError, ServerFrame,
     WireModel, WireToken,
 };
-pub use registry::{AdmitError, ModelCacheStats, ModelRegistry, ModelSpec};
 pub use request::{Completion, InferRequest, ModelId, RequestId, SequenceId, TokenCompletion};
 pub use server::{Server, ServerConfig};
 

@@ -4,8 +4,8 @@
 use oxbar_nn::reference::Tensor3;
 use serde::{Deserialize, Serialize};
 
-/// Handle to a model admitted into a
-/// [`ModelRegistry`](crate::registry::ModelRegistry), in admission order.
+/// Handle to a model admitted into a [`Cluster`](crate::cluster::Cluster),
+/// in admission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ModelId(pub usize);
 

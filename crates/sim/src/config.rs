@@ -262,26 +262,6 @@ pub fn tile_seed(base: u64, layer_index: usize, tile_index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derives the deterministic seed for one WDM wavelength channel of a
-/// tile.
-///
-/// A multi-channel tile shares one programmed PCM array — every channel
-/// reads the same transmissions — but each wavelength sees its own
-/// residual phase landscape, so channel `k > 0` draws its phase errors
-/// from a distinct stream. Channel 0 is the identity: a single-channel
-/// compile is bit-identical to the pre-WDM pipeline.
-#[must_use]
-pub fn channel_seed(base: u64, channel: usize) -> u64 {
-    if channel == 0 {
-        return base;
-    }
-    // SplitMix64-style mixing of the channel index into the tile seed.
-    let mut z = base.wrapping_add((channel as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,16 +297,5 @@ mod tests {
         assert_ne!(a, tile_seed(42, 0, 1));
         assert_ne!(a, tile_seed(42, 1, 0));
         assert_ne!(a, tile_seed(43, 0, 0));
-    }
-
-    #[test]
-    fn channel_zero_seed_is_the_identity() {
-        for base in [0u64, 42, u64::MAX] {
-            assert_eq!(channel_seed(base, 0), base);
-        }
-        let base = tile_seed(7, 2, 3);
-        assert_ne!(channel_seed(base, 1), base);
-        assert_ne!(channel_seed(base, 1), channel_seed(base, 2));
-        assert_eq!(channel_seed(base, 1), channel_seed(base, 1));
     }
 }

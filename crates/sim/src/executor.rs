@@ -196,8 +196,6 @@ pub struct TileDriftInfo {
     pub layer: usize,
     /// Tile index within the layer.
     pub tile: usize,
-    /// WDM wavelength channel of the cached state.
-    pub channel: usize,
     /// Dispatch ticks since the tile's PCM array was last programmed.
     pub age_ticks: u64,
     /// Worst-case transmission slip (full-scale fraction) at this age,
@@ -226,20 +224,19 @@ fn weight_tile_from_codes(values: &[i8], rows: usize) -> oxbar_dataflow::tiles::
 
 #[derive(Debug, Default)]
 struct TileCache {
-    /// Keyed by `(layer index, tile index, wavelength channel)`; the
-    /// single-wavelength serving path lives entirely on channel 0.
-    tiles: HashMap<(usize, usize, usize), Arc<CompiledTile>>,
+    /// Keyed by `(layer index, tile index)`.
+    tiles: HashMap<(usize, usize), Arc<CompiledTile>>,
     /// Keys some thread is compiling right now. Concurrent executions of
     /// the same network single-flight their compiles through this set:
     /// the first thread to miss programs the tile, everyone else waits on
     /// [`DeviceExecutor::compile_done`] and then takes the hit path. One
     /// missing tile is exactly one miss however many workers want it.
-    in_flight: HashSet<(usize, usize, usize)>,
+    in_flight: HashSet<(usize, usize)>,
     /// Programming-age records for resident tiles, maintained in lockstep
     /// with `tiles` (only populated while aging is active). A tile whose
     /// `derived_age` lags the clock re-derives its drifted transmissions
     /// (same seed stream, later elapsed) before the next execution.
-    ages: HashMap<(usize, usize, usize), TileAge>,
+    ages: HashMap<(usize, usize), TileAge>,
     cells: usize,
     hits: u64,
     misses: u64,
@@ -299,8 +296,7 @@ struct TileAge {
 #[derive(Debug)]
 pub struct BatchScope<'a> {
     executor: &'a DeviceExecutor,
-    /// Out-of-budget compiled tiles, keyed by `(layer index, tile index)`
-    /// (the scoped path runs on wavelength channel 0 only).
+    /// Out-of-budget compiled tiles, keyed by `(layer index, tile index)`.
     tiles: Mutex<HashMap<(usize, usize), Arc<CompiledTile>>>,
 }
 
@@ -544,11 +540,11 @@ impl DeviceExecutor {
         seed: u64,
         scope: Option<&BatchScope<'_>>,
     ) -> Arc<CompiledTile> {
-        if let Some(hit) = scope.and_then(|s| s.lookup((layer_index, tile_index), tiles, geom)) {
+        let key = (layer_index, tile_index);
+        if let Some(hit) = scope.and_then(|s| s.lookup(key, tiles, geom)) {
             self.cache.lock().expect("tile cache").hits += 1;
             return hit;
         }
-        let key = (layer_index, tile_index, 0);
         let aging = self.aging_active();
         let clock = self.clock.load(Ordering::Relaxed);
         // `None` compiles a fresh program at the baseline elapsed;
@@ -595,13 +591,7 @@ impl DeviceExecutor {
         }
         let tile = tiles.tile(tile_index);
         let elapsed = self.aged_elapsed(rederive_age.unwrap_or(0));
-        let compiled = Arc::new(CompiledTile::compile_channel_at(
-            &tile,
-            &self.config,
-            seed,
-            0,
-            elapsed,
-        ));
+        let compiled = Arc::new(CompiledTile::compile_at(&tile, &self.config, seed, elapsed));
         let cells = compiled.cells();
         let mut cache = self.cache.lock().expect("tile cache");
         cache.in_flight.remove(&key);
@@ -628,7 +618,7 @@ impl DeviceExecutor {
                 );
             }
         } else if let Some(scope) = scope {
-            scope.keep((layer_index, tile_index), Arc::clone(&compiled));
+            scope.keep(key, Arc::clone(&compiled));
         }
         self.compile_done.notify_all();
         compiled
@@ -763,7 +753,7 @@ impl DeviceExecutor {
     }
 
     /// Per-tile programming ages and projected worst-case drift error for
-    /// every resident tile, in `(layer, tile, channel)` order. Empty when
+    /// every resident tile, in `(layer, tile)` order. Empty when
     /// aging is inactive.
     ///
     /// # Panics
@@ -779,76 +769,63 @@ impl DeviceExecutor {
         let mut out: Vec<TileDriftInfo> = cache
             .ages
             .iter()
-            .map(|(&(layer, tile, channel), age)| {
+            .map(|(&(layer, tile), age)| {
                 let age_ticks = clock.saturating_sub(age.programmed_at);
                 TileDriftInfo {
                     layer,
                     tile,
-                    channel,
                     age_ticks,
                     projected_slip: self.projected_slip(age_ticks),
                 }
             })
             .collect();
-        out.sort_unstable_by_key(|info| (info.layer, info.tile, info.channel));
+        out.sort_unstable_by_key(|info| (info.layer, info.tile));
         out
     }
 
     /// Reprograms a resident tile's PCM array in place at the baseline
     /// drift elapsed, resetting its programming age. Every stochastic
-    /// draw (programming variation, per-channel phase errors) is a pure
-    /// function of the tile seed, so the recalibrated compiled state is
-    /// **bit-exact to a fresh program** — readouts return to
-    /// fresh-program accuracy. Counts one cache miss per reprogrammed
-    /// channel state (recalibration is programming work, like a prewarm).
-    /// Returns the number of channel states reprogrammed (0 when the tile
-    /// is not resident).
+    /// draw (programming variation, phase errors) is a pure function of
+    /// the tile seed, so the recalibrated compiled state is **bit-exact to
+    /// a fresh program** — readouts return to fresh-program accuracy.
+    /// Counts one cache miss (recalibration is programming work, like a
+    /// prewarm). Returns whether the tile was reprogrammed (`false` when
+    /// it is not resident, or is mid-compile on another thread — that
+    /// fresh compile is already at baseline age).
     ///
     /// # Panics
     ///
     /// Panics if the cache mutex was poisoned.
-    pub fn recalibrate_tile(&self, layer: usize, tile: usize) -> usize {
+    pub fn recalibrate_tile(&self, layer: usize, tile: usize) -> bool {
+        let key = (layer, tile);
         let clock = self.clock.load(Ordering::Relaxed);
-        let aging = self.aging_active();
         let mut cache = self.cache.lock().expect("tile cache");
-        let mut keys: Vec<(usize, usize, usize)> = cache
-            .tiles
-            .keys()
-            .filter(|&&(l, t, _)| l == layer && t == tile)
-            .copied()
-            .collect();
-        keys.sort_unstable();
-        let mut reprogrammed = 0;
-        for key in keys {
-            // A key mid-compile belongs to the thread compiling it; the
-            // fresh compile it is producing is already at baseline age.
-            if cache.in_flight.contains(&key) {
-                continue;
-            }
-            let resident = &cache.tiles[&key];
-            let weight_tile = weight_tile_from_codes(resident.values(), resident.value_rows());
-            let seed = tile_seed(self.config.seed, layer, tile);
-            let compiled = CompiledTile::compile_channel_at(
-                &weight_tile,
-                &self.config,
-                seed,
-                key.2,
-                self.config.noise.drift_elapsed,
-            );
-            cache.tiles.insert(key, Arc::new(compiled));
-            cache.misses += 1;
-            if aging {
-                cache.ages.insert(
-                    key,
-                    TileAge {
-                        programmed_at: clock,
-                        derived_age: 0,
-                    },
-                );
-            }
-            reprogrammed += 1;
+        if cache.in_flight.contains(&key) {
+            return false;
         }
-        reprogrammed
+        let Some(resident) = cache.tiles.get(&key) else {
+            return false;
+        };
+        let weight_tile = weight_tile_from_codes(resident.values(), resident.value_rows());
+        let seed = tile_seed(self.config.seed, layer, tile);
+        let compiled = CompiledTile::compile_at(
+            &weight_tile,
+            &self.config,
+            seed,
+            self.config.noise.drift_elapsed,
+        );
+        cache.tiles.insert(key, Arc::new(compiled));
+        cache.misses += 1;
+        if self.aging_active() {
+            cache.ages.insert(
+                key,
+                TileAge {
+                    programmed_at: clock,
+                    derived_age: 0,
+                },
+            );
+        }
+        true
     }
 
     /// The oldest resident tile's programming age, in dispatch ticks.
@@ -875,101 +852,79 @@ impl DeviceExecutor {
 
     /// The deterministic half of online recalibration: resets a resident
     /// tile's programming age to the current clock without touching its
-    /// compiled state. The next readout of each channel re-derives the
-    /// age-0 (baseline) transmissions lazily — bit-exact to
-    /// [`Self::recalibrate_tile`] — so a scheduler can commit the
-    /// decision at a single-threaded boundary and hand the reprogramming
-    /// work ([`Self::rederive_tile`]) to a concurrent stage without the
-    /// outcome depending on when (or whether) that stage runs first.
-    /// Returns the number of channel states marked.
+    /// compiled state. The next readout re-derives the age-0 (baseline)
+    /// transmissions lazily — bit-exact to [`Self::recalibrate_tile`] — so
+    /// a scheduler can commit the decision at a single-threaded boundary
+    /// and hand the reprogramming work ([`Self::rederive_tile`]) to a
+    /// concurrent stage without the outcome depending on when (or
+    /// whether) that stage runs first. Returns whether the tile had an
+    /// age record to mark.
     ///
     /// # Panics
     ///
     /// Panics if the cache mutex was poisoned.
-    pub fn mark_recalibrated(&self, layer: usize, tile: usize) -> usize {
+    pub fn mark_recalibrated(&self, layer: usize, tile: usize) -> bool {
         let clock = self.clock.load(Ordering::Relaxed);
         let mut cache = self.cache.lock().expect("tile cache");
-        let keys: Vec<(usize, usize, usize)> = cache
-            .ages
-            .keys()
-            .filter(|&&(l, t, _)| l == layer && t == tile)
-            .copied()
-            .collect();
-        for key in &keys {
-            if let Some(entry) = cache.ages.get_mut(key) {
-                entry.programmed_at = clock;
-            }
-        }
-        keys.len()
+        let Some(entry) = cache.ages.get_mut(&(layer, tile)) else {
+            return false;
+        };
+        entry.programmed_at = clock;
+        true
     }
 
-    /// The work half of online recalibration: eagerly re-derives every
-    /// resident channel state of a tile at its current age, exactly as
-    /// the next readout would lazily. Compiles run single-flight against
-    /// the execution path (a key mid-compile or already current is
-    /// skipped), so a stale key is re-derived exactly once — eagerly here
-    /// or lazily at first read — and the cache counters stay a
-    /// deterministic function of the workload. Returns the number of
-    /// channel states re-derived.
+    /// The work half of online recalibration: eagerly re-derives a
+    /// resident tile at its current age, exactly as the next readout
+    /// would lazily. The compile runs single-flight against the execution
+    /// path (a tile mid-compile or already current is skipped), so a
+    /// stale tile is re-derived exactly once — eagerly here or lazily at
+    /// first read — and the cache counters stay a deterministic function
+    /// of the workload. Returns whether the tile was re-derived.
     ///
     /// # Panics
     ///
     /// Panics if the cache mutex was poisoned.
-    pub fn rederive_tile(&self, layer: usize, tile: usize) -> usize {
+    pub fn rederive_tile(&self, layer: usize, tile: usize) -> bool {
         if !self.aging_active() {
-            return 0;
+            return false;
         }
+        let key = (layer, tile);
         let clock = self.clock.load(Ordering::Relaxed);
-        let mut rederived = 0;
         let mut cache = self.cache.lock().expect("tile cache");
-        let mut keys: Vec<(usize, usize, usize)> = cache
-            .tiles
-            .keys()
-            .filter(|&&(l, t, _)| l == layer && t == tile)
-            .copied()
-            .collect();
-        keys.sort_unstable();
-        for key in keys {
-            if cache.in_flight.contains(&key) {
-                continue;
-            }
-            let Some(age) = cache
-                .ages
-                .get(&key)
-                .map(|a| clock.saturating_sub(a.programmed_at))
-            else {
-                continue;
-            };
-            if cache.ages[&key].derived_age == age {
-                continue;
-            }
-            let resident = Arc::clone(&cache.tiles[&key]);
-            cache.in_flight.insert(key);
-            drop(cache);
-            let weight_tile = weight_tile_from_codes(resident.values(), resident.value_rows());
-            let seed = tile_seed(self.config.seed, layer, tile);
-            let compiled = CompiledTile::compile_channel_at(
-                &weight_tile,
-                &self.config,
-                seed,
-                key.2,
-                self.aged_elapsed(age),
-            );
-            cache = self.cache.lock().expect("tile cache");
-            cache.in_flight.remove(&key);
-            // Re-check residency: an eviction may have raced the compile
-            // (never in the serving engine, which re-derives only at
-            // stage points ordered against budget enforcement).
-            if let Some(slot) = cache.tiles.get_mut(&key) {
+        if cache.in_flight.contains(&key) {
+            return false;
+        }
+        let (Some(resident), Some(recorded)) = (cache.tiles.get(&key), cache.ages.get(&key)) else {
+            return false;
+        };
+        let age = clock.saturating_sub(recorded.programmed_at);
+        if recorded.derived_age == age {
+            return false;
+        }
+        let resident = Arc::clone(resident);
+        cache.in_flight.insert(key);
+        drop(cache);
+        let weight_tile = weight_tile_from_codes(resident.values(), resident.value_rows());
+        let seed = tile_seed(self.config.seed, layer, tile);
+        let compiled =
+            CompiledTile::compile_at(&weight_tile, &self.config, seed, self.aged_elapsed(age));
+        let mut cache = self.cache.lock().expect("tile cache");
+        cache.in_flight.remove(&key);
+        // Re-check residency: an eviction may have raced the compile
+        // (never in the serving engine, which re-derives only at stage
+        // points ordered against budget enforcement).
+        let rederived = match cache.tiles.get_mut(&key) {
+            Some(slot) => {
                 *slot = Arc::new(compiled);
                 cache.misses += 1;
                 if let Some(entry) = cache.ages.get_mut(&key) {
                     entry.derived_age = age;
                 }
-                rederived += 1;
+                true
             }
-            self.compile_done.notify_all();
-        }
+            None => false,
+        };
+        self.compile_done.notify_all();
         rederived
     }
 
@@ -1412,10 +1367,10 @@ impl DeviceExecutor {
                         // A key mid-compile on another thread is about to
                         // become resident; a skipped prewarm only costs
                         // speed, so leave it to the thread that owns it.
-                        !cache.in_flight.contains(&(layer_idx, *tile_index, 0))
+                        !cache.in_flight.contains(&(layer_idx, *tile_index))
                             && cache
                                 .tiles
-                                .get(&(layer_idx, *tile_index, 0))
+                                .get(&(layer_idx, *tile_index))
                                 .is_none_or(|hit| !hit.matches_bank(&tiles, geom))
                     })
                     .collect()
@@ -1432,7 +1387,7 @@ impl DeviceExecutor {
             let clock = self.clock.load(Ordering::Relaxed);
             let mut cache = self.cache.lock().expect("tile cache");
             for ((tile_index, _), compiled) in missing.iter().zip(compiled) {
-                let key = (layer_idx, *tile_index, 0);
+                let key = (layer_idx, *tile_index);
                 let cells = compiled.cells();
                 cache.misses += 1;
                 if let Some(stale) = cache.tiles.remove(&key) {
@@ -1462,8 +1417,8 @@ impl DeviceExecutor {
     /// [`ChipSnapshot`]: the non-volatile weight codes of every resident
     /// tile plus the per-tile seed and configuration that reconstruct its
     /// compiled state deterministically. Tiles are recorded in
-    /// `(layer, tile, channel)` order, so equal cache contents always
-    /// produce equal snapshots.
+    /// `(layer, tile)` order, so equal cache contents always produce equal
+    /// snapshots.
     ///
     /// # Panics
     ///
@@ -1471,16 +1426,15 @@ impl DeviceExecutor {
     #[must_use]
     pub fn snapshot(&self) -> ChipSnapshot {
         let cache = self.cache.lock().expect("tile cache");
-        let mut keys: Vec<&(usize, usize, usize)> = cache.tiles.keys().collect();
+        let mut keys: Vec<&(usize, usize)> = cache.tiles.keys().collect();
         keys.sort_unstable();
         let tiles = keys
             .into_iter()
-            .map(|&(layer, tile, channel)| {
-                let compiled = &cache.tiles[&(layer, tile, channel)];
+            .map(|&(layer, tile)| {
+                let compiled = &cache.tiles[&(layer, tile)];
                 TileSnapshot {
                     layer,
                     tile,
-                    channel,
                     seed: tile_seed(self.config.seed, layer, tile),
                     rows: compiled.value_rows(),
                     values: compiled.values().to_vec(),
@@ -1498,11 +1452,10 @@ impl DeviceExecutor {
     }
 
     /// Reconstructs an executor from a [`ChipSnapshot`]: every recorded
-    /// tile is recompiled from its codes with its original seed and
-    /// wavelength channel, producing a chip whose forward passes are
-    /// **byte-identical** to the source chip's (programming variation,
-    /// drift, and per-channel phase streams all re-derive from the stored
-    /// seeds). The restored cache carries the snapshot's hit/miss
+    /// tile is recompiled from its codes with its original seed,
+    /// producing a chip whose forward passes are **byte-identical** to the
+    /// source chip's (programming variation, drift, and phase streams all
+    /// re-derive from the stored seeds). The restored cache carries the snapshot's hit/miss
     /// counters; tiles are admitted in snapshot order under the
     /// snapshot's cell budget.
     ///
@@ -1539,19 +1492,17 @@ impl DeviceExecutor {
             cache.misses = snapshot.misses;
             for snap in &snapshot.tiles {
                 let tile = weight_tile_from_codes(&snap.values, snap.rows);
-                let compiled =
-                    CompiledTile::compile_channel(&tile, &exec.config, snap.seed, snap.channel);
+                let compiled = CompiledTile::compile(&tile, &exec.config, snap.seed);
                 assert_eq!(
                     compiled.program(),
                     snap.program,
-                    "restored tile ({}, {}, {}) must recompile to its recorded state",
+                    "restored tile ({}, {}) must recompile to its recorded state",
                     snap.layer,
-                    snap.tile,
-                    snap.channel
+                    snap.tile
                 );
                 let cells = compiled.cells();
                 if cache.cells + cells <= snapshot.cache_budget {
-                    let key = (snap.layer, snap.tile, snap.channel);
+                    let key = (snap.layer, snap.tile);
                     cache.tiles.insert(key, Arc::new(compiled));
                     cache.cells += cells;
                     if aging {
@@ -1934,11 +1885,9 @@ mod tests {
         assert!(!infos.is_empty());
         assert!(infos.iter().all(|i| i.age_ticks == 1000));
         assert!(infos.iter().all(|i| i.projected_slip > 0.0));
-        let mut recalibrated = 0;
         for info in &infos {
-            recalibrated += exec.recalibrate_tile(info.layer, info.tile);
+            assert!(exec.recalibrate_tile(info.layer, info.tile));
         }
-        assert_eq!(recalibrated, infos.len());
         // Reprogramming re-derives the same seed streams at the baseline
         // elapsed: readouts return to fresh-program accuracy, bit-exact.
         assert_eq!(probe_conv_forward(&exec), fresh);
@@ -1963,19 +1912,19 @@ mod tests {
         let infos = eager.tile_ages();
         assert!(!infos.is_empty());
         for info in &infos {
-            assert_eq!(eager.mark_recalibrated(info.layer, info.tile), 1);
+            assert!(eager.mark_recalibrated(info.layer, info.tile));
             // Marking alone resets the age record, not the derivation.
-            assert_eq!(eager.rederive_tile(info.layer, info.tile), 1);
+            assert!(eager.rederive_tile(info.layer, info.tile));
             // Re-deriving again is a no-op: the state is current.
-            assert_eq!(eager.rederive_tile(info.layer, info.tile), 0);
+            assert!(!eager.rederive_tile(info.layer, info.tile));
             lazy.mark_recalibrated(info.layer, info.tile);
             oneshot.recalibrate_tile(info.layer, info.tile);
         }
         assert_eq!(probe_conv_forward(&eager), fresh);
         assert_eq!(probe_conv_forward(&lazy), fresh);
         assert_eq!(probe_conv_forward(&oneshot), fresh);
-        // Every path pays exactly one re-derivation miss per channel
-        // state, whether eager or lazy.
+        // Every path pays exactly one re-derivation miss per tile,
+        // whether eager or lazy.
         assert_eq!(eager.cache_stats().misses, lazy.cache_stats().misses);
         assert_eq!(eager.cache_stats().misses, oneshot.cache_stats().misses);
     }

@@ -6,12 +6,12 @@
 //! needed to reconstruct an executor's weight-stationary cache
 //! bit-exactly — the signed weight codes of every resident tile, the
 //! per-tile seed its stochastic streams (PCM programming variation,
-//! per-channel phase errors) were drawn from, and the admission-time
+//! phase errors) were drawn from, and the admission-time
 //! configuration — without touching the original filter banks.
 //!
 //! [`crate::DeviceExecutor::snapshot`] captures a chip;
 //! [`crate::DeviceExecutor::restore`] rebuilds one. Because every tile is
-//! a deterministic function of `(codes, config, seed, channel)`, the
+//! a deterministic function of `(codes, config, seed)`, the
 //! restored chip's forward passes are byte-identical to the source chip's
 //! — the property multi-chip serving uses to *migrate* a hot model
 //! between chips without replaying its admission history.
@@ -28,8 +28,6 @@ pub struct TileSnapshot {
     pub layer: usize,
     /// Fold-tile index within the layer.
     pub tile: usize,
-    /// WDM wavelength channel the compiled state serves.
-    pub channel: usize,
     /// The per-tile seed ([`crate::config::tile_seed`]) the tile's
     /// stochastic streams were drawn from.
     pub seed: u64,
@@ -60,8 +58,7 @@ pub struct ChipSnapshot {
     pub hits: u64,
     /// Lifetime cache-miss counter at capture time.
     pub misses: u64,
-    /// Every resident tile, in deterministic `(layer, tile, channel)`
-    /// order.
+    /// Every resident tile, in deterministic `(layer, tile)` order.
     pub tiles: Vec<TileSnapshot>,
 }
 

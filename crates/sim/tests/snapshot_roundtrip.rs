@@ -4,7 +4,7 @@
 //! snapshot of `{codes, per-tile seeds, config}` must rebuild an
 //! executor whose forward passes are byte-identical to the source —
 //! including every stochastic stream (programming variation, drift,
-//! per-channel phase errors). This is the invariant that makes
+//! phase errors). This is the invariant that makes
 //! snapshot-based model migration between serving chips sound.
 
 use oxbar_nn::synthetic::{self, small_network};
@@ -87,7 +87,7 @@ fn check_snapshot_under_concurrent_prewarm(seed: u64) -> Result<(), TestCaseErro
         let mut keys = HashSet::new();
         for t in &snap.tiles {
             prop_assert!(
-                keys.insert((t.layer, t.tile, t.channel, t.seed)),
+                keys.insert((t.layer, t.tile, t.seed)),
                 "duplicate tile in a mid-prewarm snapshot"
             );
         }
